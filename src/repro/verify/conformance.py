@@ -26,21 +26,24 @@ never leaks into any compared artifact.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.designer import design_interconnect
+from ..core.commgraph import CommGraph
+from ..core.designer import DesignConfig, design_interconnect
 from ..core.plan import InterconnectPlan
 from ..obs.profile.recorder import TimeseriesRecorder
 from ..sim.backend import BACKEND_NAMES, ReproSimBackend
 from ..sim.systems import (
     SimulatedTimes,
+    SystemParams,
     simulate_baseline,
     simulate_pipelined_baseline,
     simulate_proposed,
 )
 from ..sim.timeline import timeline_digest
-from .generate import GeneratedCase
+from .generate import FuzzSpec, GeneratedCase, generate_case
 from .invariants import Violation
 
 __all__ = [
@@ -50,6 +53,9 @@ __all__ = [
     "conformance_sweep",
     "diff_recordings",
     "diff_simulated_times",
+    "golden_runs",
+    "record_digests",
+    "run_digest",
 ]
 
 #: The systems a conformance pass exercises per case.
@@ -202,3 +208,79 @@ def conformance_sweep(
             on_case(case, found)
         all_violations.extend(found)
     return all_violations
+
+
+# -- golden digests ----------------------------------------------------------
+
+#: The pinned fuzz corpus: same seed, same indices, forever. A digest
+#: mismatch reproduces from ``generate_case(FuzzSpec(), CORPUS_SEED, i)``.
+CORPUS_SEED = 2026
+CORPUS_SIZE = 50
+
+#: One golden run: (label, graph, plan, params).
+GoldenRun = Tuple[str, CommGraph, InterconnectPlan, SystemParams]
+
+
+def run_digest(
+    times: SimulatedTimes, recorder: TimeseriesRecorder
+) -> Dict[str, str]:
+    """Everything observable about one run, as comparable strings.
+
+    ``times`` is the full-precision ``repr`` of the result, ``recorder``
+    a SHA-256 over the in-order sample streams, and ``timeline`` the
+    :func:`~repro.sim.timeline.timeline_digest`.
+    """
+    h = hashlib.sha256()
+    for stream in (
+        recorder.activities, recorder.occupancy_samples, recorder.deliveries
+    ):
+        h.update(repr(stream).encode())
+        h.update(b"\n")
+    return {
+        "times": repr(asdict(times)),
+        "recorder": h.hexdigest(),
+        "timeline": timeline_digest(times),
+    }
+
+
+def golden_runs() -> Iterator[GoldenRun]:
+    """The paper apps, then the fuzz corpus, each with its plan."""
+    from ..apps import fit_application, get_application
+    from ..apps.registry import APP_NAMES
+
+    params = SystemParams()
+    theta = params.theta_s_per_byte()
+    for name in APP_NAMES:
+        fitted = fit_application(get_application(name), theta)
+        config = DesignConfig(
+            theta_s_per_byte=theta,
+            stream_overhead_s=fitted.stream_overhead_s,
+        )
+        plan = design_interconnect(name, fitted.graph, config)
+        yield name, fitted.graph, plan, params
+    for i in range(CORPUS_SIZE):
+        case = generate_case(FuzzSpec(), CORPUS_SEED, i)
+        plan = design_interconnect(case.label(), case.graph, case.config())
+        yield case.label(), case.graph, plan, case.params
+
+
+def record_digests() -> Dict[str, Dict[str, str]]:
+    """Digest every golden run on every system, keyed ``label.system``."""
+    out: Dict[str, Dict[str, str]] = {}
+    for label, graph, plan, params in golden_runs():
+        case = _Case(graph, params)
+        for system in _SYSTEMS:
+            rec = TimeseriesRecorder()
+            times = _simulate(
+                system, case, plan, ReproSimBackend.REFERENCE.value, rec
+            )
+            out[f"{label}.{system}"] = run_digest(times, rec)
+    return out
+
+
+class _Case:
+    """The two fields :func:`_simulate` reads from a case."""
+
+    def __init__(self, graph: CommGraph, params: SystemParams) -> None:
+        self.graph = graph
+        self.params = params

@@ -19,6 +19,8 @@ reference engine runs concurrently.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import asdict
 
 import pytest
@@ -41,6 +43,9 @@ from repro.verify import (
     diff_simulated_times,
     generate_case,
 )
+from repro.verify.conformance import record_digests
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "sim_digests.json"
 
 #: The fuzz corpus is pinned: same seed, same indices, forever. A
 #: conformance failure reproduces from ``generate_case(FuzzSpec(),
@@ -118,6 +123,17 @@ class TestFuzzCorpus:
         # runs clean, and its violation list is the proof artifact.
         case = generate_case(FuzzSpec(), CORPUS_SEED, 0)
         assert backend_conformance_check(case) == []
+
+
+class TestGoldens:
+    """Every golden run reproduces its recorded digests byte-for-byte."""
+
+    def test_engine_matches_goldens(self):
+        goldens = json.loads(GOLDEN_PATH.read_text())
+        actual = record_digests()
+        assert sorted(actual) == sorted(goldens)
+        mismatched = [key for key in goldens if actual[key] != goldens[key]]
+        assert mismatched == [], f"{len(mismatched)} drifted: {mismatched[:5]}"
 
 
 class TestBatchedDispatchFusion:
