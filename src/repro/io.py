@@ -17,7 +17,9 @@ hand-edited file cannot smuggle in inconsistent state.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import threading
 from typing import Any, Dict, Union
 
 from .core.commgraph import CommGraph
@@ -274,10 +276,28 @@ def plan_from_dict(data: Dict[str, Any]) -> InterconnectPlan:
 
 
 def save_json(obj: Dict[str, Any], path: Union[str, pathlib.Path]) -> None:
-    """Write a serialized artifact to disk (pretty-printed, stable order)."""
-    pathlib.Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write a serialized artifact to disk (pretty-printed, stable order).
+
+    The write is atomic: the text goes to a temp file in the same
+    directory, is flushed and fsynced, then ``os.replace``-d over
+    ``path``. A concurrent reader sees the old file or the new one,
+    never a partial one, and an interrupted write leaves the old file
+    intact.
+    """
+    path = pathlib.Path(path)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
     )
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(path: Union[str, pathlib.Path]) -> Dict[str, Any]:

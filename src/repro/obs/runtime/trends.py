@@ -12,7 +12,7 @@ unlucky historical run must not move the gate. And only *timing*
 metrics (dotted names ending ``_s`` or ``_ms``) are gated, lower is
 better, with a small absolute noise floor so sub-tenth-of-a-millisecond
 jitter on trivial timings can't fail CI. Ratio metrics like
-``fastcore_speedup``, ``profiler_overhead`` and ``cache_speedup`` are
+``static_speedup``, ``profiler_overhead`` and ``cache_speedup`` are
 first-class in the trend table — formatted as multipliers with their
 own ``ratio`` verdict, and a speedup that *falls* against its baseline
 is called out — but they never gate: they are already ratios of gated

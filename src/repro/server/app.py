@@ -114,11 +114,6 @@ class ServerConfig:
     watchdog_interval_s: float = 0.25
     watchdog_loop_lag_s: float = 2.0
     watchdog_batch_stall_s: float = 30.0
-    #: Simulation backend for the wrapped service's jobs (``None`` =
-    #: env/default resolution; see :mod:`repro.sim.backend`). Results
-    #: are byte-identical across backends, so this is a pure throughput
-    #: knob — it never affects response payloads or cache validity.
-    sim_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.batch_window_s < 0:
@@ -138,12 +133,6 @@ class ServerConfig:
             raise ConfigurationError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
             )
-        if self.sim_backend is not None:
-            # Typed rejection at config time: a typo'd backend must not
-            # surface as a per-request failure after the server is up.
-            from ..sim.backend import resolve_backend
-
-            resolve_backend(self.sim_backend)
 
 
 class DesignServer:
@@ -303,12 +292,16 @@ class DesignServer:
 
     # -- flight recorder / watchdog ----------------------------------------
     def _on_stall(self, source: str, message: str) -> None:
-        """Watchdog trip (watchdog thread): degrade readiness, dump."""
-        self._stalled = f"{source}: {message}"
+        """Watchdog trip (watchdog thread): dump, then degrade readiness.
+
+        The dump lands first so that anyone who sees "stalled" on
+        ``/readyz`` also finds its post-mortem on disk.
+        """
         try:
             self.flight_dump(f"watchdog:{source}")
         except OSError:
             pass  # a full disk must not take down the watchdog
+        self._stalled = f"{source}: {message}"
 
     def _on_stall_cleared(self, source: str) -> None:
         if not self.watchdog.tripped:

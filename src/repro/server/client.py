@@ -11,7 +11,9 @@ documents and translates HTTP failure statuses into
 — the incremental-delivery property the streaming tests assert is
 observable right here, not an implementation detail. A stream that ends
 before the terminal ``done`` event raises :class:`ServerError` instead
-of returning silently short.
+of returning silently short. Transport failures (refused or reset
+connections, timeouts, torn HTTP framing) surface the same way, as
+:class:`ServerError` with ``status=0`` — never as a raw socket error.
 
 Every request mints a fresh W3C trace context and sends it as a
 ``traceparent`` header; the server adopts the trace id, threads it
@@ -23,7 +25,8 @@ can correlate client-side observations with server-side telemetry.
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection, HTTPResponse
+from contextlib import contextmanager
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -31,6 +34,17 @@ from ..errors import ProtocolError, ServerError
 from ..obs.runtime.tracecontext import TraceContext, new_trace_context
 from ..obs.trace import Tracer, active
 from .http import parse_sse_stream, split_host_port
+
+
+@contextmanager
+def _transport(what: str) -> Iterator[None]:
+    """Re-raise transport failures inside the block as ``ServerError``."""
+    try:
+        yield
+    except (OSError, HTTPException) as exc:
+        raise ServerError(
+            f"{what}: {type(exc).__name__}: {exc}", status=0
+        ) from exc
 
 
 class DesignClient:
@@ -123,11 +137,14 @@ class DesignClient:
                 "client_request", category="client",
                 method=method, route=path, trace_id=ctx.trace_id,
             ):
-                conn.request(
-                    method, path, body=payload, headers=self._headers(ctx)
-                )
-                resp = conn.getresponse()
-                return self._raise_for_status(resp, resp.read())
+                with _transport(f"{method} {path}"):
+                    conn.request(
+                        method, path, body=payload,
+                        headers=self._headers(ctx),
+                    )
+                    resp = conn.getresponse()
+                    raw = resp.read()
+                return self._raise_for_status(resp, raw)
         finally:
             conn.close()
 
@@ -200,13 +217,14 @@ class DesignClient:
         }).encode("utf-8")
         conn = self._connect()
         try:
-            conn.request(
-                "POST", "/v1/sweep/stream", body=body,
-                headers=self._headers(ctx),
-            )
-            resp = conn.getresponse()
-            if resp.status != 200:
-                self._raise_for_status(resp, resp.read())
+            with _transport("POST /v1/sweep/stream"):
+                conn.request(
+                    "POST", "/v1/sweep/stream", body=body,
+                    headers=self._headers(ctx),
+                )
+                resp = conn.getresponse()
+                if resp.status != 200:
+                    self._raise_for_status(resp, resp.read())
 
             def _lines() -> Iterator[str]:
                 while True:
@@ -216,10 +234,11 @@ class DesignClient:
                     yield line.decode("utf-8")
 
             done = False
-            for event, data in parse_sse_stream(_lines()):
-                if event == "done":
-                    done = True
-                yield event, json.loads(data)
+            with _transport("sweep stream truncated"):
+                for event, data in parse_sse_stream(_lines()):
+                    if event == "done":
+                        done = True
+                    yield event, json.loads(data)
             if not done:
                 raise ServerError(
                     "sweep stream truncated: connection ended before the"
@@ -255,7 +274,7 @@ class DesignClient:
             resp = conn.getresponse()
             resp.read()
             return resp.status == 200
-        except OSError:
+        except (OSError, HTTPException):
             return False
         finally:
             conn.close()
@@ -264,9 +283,10 @@ class DesignClient:
         """``GET /metrics``; the raw Prometheus exposition text."""
         conn = self._connect()
         try:
-            conn.request("GET", "/metrics", headers=self._headers())
-            resp = conn.getresponse()
-            raw = resp.read()
+            with _transport("GET /metrics"):
+                conn.request("GET", "/metrics", headers=self._headers())
+                resp = conn.getresponse()
+                raw = resp.read()
             if resp.status != 200:
                 self._raise_for_status(resp, raw)
             return raw.decode("utf-8")

@@ -116,11 +116,6 @@ def _drive(
             if not tally.first_error:
                 tally.first_error = f"{type(exc).__name__}: {exc}"
             continue
-        except OSError as exc:
-            tally.errors += 1
-            if not tally.first_error:
-                tally.first_error = f"{type(exc).__name__}: {exc}"
-            continue
         tally.latencies_s.append(time.perf_counter() - start)
         tally.ok += 1
 

@@ -40,18 +40,12 @@ def execute_job(
     tracer: Optional[Tracer] = None,
     profile: bool = False,
     lint: bool = False,
-    sim_backend: Optional[str] = None,
 ) -> Tuple[ExperimentResult, Dict[str, Any]]:
     """Run one job in-process; returns the full result and its summary.
 
-    ``sim_backend`` selects the simulation engine (see
-    :mod:`repro.sim.backend`). It travels *next to* the job, never on
-    it: a :class:`DesignJob` is frozen and fingerprinted, and because
-    both backends are proven byte-identical, a cached result is valid
-    regardless of which backend produced it — so the backend must not
-    perturb cache keys. The job's ``graph_source`` by contrast *is*
-    fingerprinted: static and traced graphs legitimately differ on
-    data-dependent edges, so their results are cached separately.
+    The job's ``graph_source`` is fingerprinted: static and traced
+    graphs legitimately differ on data-dependent edges, so their
+    results are cached separately.
     """
     result = run_experiment(
         job.app,
@@ -63,22 +57,19 @@ def execute_job(
         trace=tracer,
         profile=profile,
         lint=lint,
-        sim_backend=sim_backend,
         graph_source=job.graph_source,
     )
     return result, result_summary(result)
 
 
-def run_job_summary(
-    job: DesignJob, sim_backend: Optional[str] = None
-) -> Dict[str, Any]:
+def run_job_summary(job: DesignJob) -> Dict[str, Any]:
     """Pool-friendly entry point: summary only (JSON/pickle-safe)."""
-    return execute_job(job, sim_backend=sim_backend)[1]
+    return execute_job(job)[1]
 
 
 def run_job_instrumented(
     job: DesignJob, profile: bool = False, lint: bool = False,
-    trace_id: str = "", sim_backend: Optional[str] = None,
+    trace_id: str = "",
     sample_interval_s: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Pool entry point shipping observability home with the summary.
@@ -119,8 +110,7 @@ def run_job_instrumented(
         with tracer.span("job", category="worker", app=job.app,
                          trace_id=trace_id):
             result, summary = execute_job(
-                job, tracer=tracer, profile=profile, lint=lint,
-                sim_backend=sim_backend,
+                job, tracer=tracer, profile=profile, lint=lint
             )
     finally:
         if sampler is not None:
@@ -200,7 +190,6 @@ class JobRunner:
         profile: bool = False,
         lint: bool = False,
         events: EventLog = NULL_LOG,
-        sim_backend: Optional[str] = None,
         sample_interval_s: Optional[float] = None,
     ) -> None:
         self.config = config
@@ -211,10 +200,6 @@ class JobRunner:
         #: (``None`` = no sampling). Ignored for injected custom
         #: runners, like ``profile``/``lint``.
         self.sample_interval_s = sample_interval_s
-        #: Simulation backend name forwarded to every executed job
-        #: (``None`` defers to env/default resolution in the worker).
-        #: A plain string so it crosses the process-pool pickle boundary.
-        self.sim_backend = sim_backend
         #: Runtime event log; pool recycles are worth an operator's
         #: attention (each one means a hung or crashed worker).
         self.events = events
@@ -361,13 +346,11 @@ class JobRunner:
                             result, summary = execute_job(
                                 job, tracer=self.tracer,
                                 profile=self.profile, lint=self.lint,
-                                sim_backend=self.sim_backend,
                             )
                     else:
                         result, summary = execute_job(
                             job, tracer=self.tracer,
                             profile=self.profile, lint=self.lint,
-                            sim_backend=self.sim_backend,
                         )
                     profiles = {
                         system: profile_to_dict(p)
@@ -429,11 +412,8 @@ class JobRunner:
             # partial (not a lambda) so the callable stays picklable.
             func = partial(
                 run_job_instrumented, profile=self.profile, lint=self.lint,
-                sim_backend=self.sim_backend,
                 sample_interval_s=self.sample_interval_s,
             )
-        elif self.sim_backend is not None:
-            func = partial(run_job_summary, sim_backend=self.sim_backend)
         else:
             func = run_job_summary
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)

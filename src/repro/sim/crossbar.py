@@ -51,10 +51,10 @@ class Crossbar(Component):
         """Process generator: switched access to one of the pair.
 
         The switch itself is combinational (no added cycles); time is the
-        target BRAM's port occupancy only. Under the fast backend the
-        delegated :meth:`~repro.sim.memory.Bram.access` takes its own
-        fused lane when the port is free, so a switched access costs no
-        engine round-trip either — the crossbar adds nothing to fuse.
+        target BRAM's port occupancy only. The delegated
+        :meth:`~repro.sim.memory.Bram.access` fuses on its own when the
+        port is free, so a switched access costs no engine round-trip
+        either — the crossbar adds nothing to fuse.
         """
         mem = self.route(target)
         self.switched_accesses += 1

@@ -51,7 +51,7 @@ class DmaEngine(Component):
             rec.occupancy(self.name, self.engine.now, self.pending, 0)
         try:
             started = self.engine.now
-            # Fast lane: descriptor setup is a pure wait — fuse it when
+            # Fusion: descriptor setup is a pure wait — fuse it when
             # no queued event interleaves.
             setup = self.cycles(self.setup_cycles)
             if not self.engine.try_advance(setup):

@@ -60,7 +60,7 @@ class HwKernelSim(Component):
         rec = self.recorder
         self.log("compute: first half")
         started = self.engine.now
-        # Fast lane: each half is a pure wait — fuse when no queued
+        # Fusion: each half is a pure wait — fuse when no queued
         # event lands inside it.
         if not self.engine.try_advance(half):
             yield half

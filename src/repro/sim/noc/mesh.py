@@ -184,11 +184,10 @@ class NocMesh(Component):
                     + link.serialization_seconds(packet.nbytes)
                 )
                 if (
-                    engine.fastlane
-                    and arbiter._in_use < arbiter.capacity
+                    arbiter._in_use < arbiter.capacity
                     and engine.can_advance(hold)
                 ):
-                    # Fast lane: a free link and an empty horizon — the
+                    # Fusion: a free link and an empty horizon — the
                     # hop's grant→traverse→release fuses synchronously.
                     arbiter._fused_acquire()
                     self.log(f"pkt{packet.pid} {hop_src}->{hop_dst}")
@@ -277,7 +276,7 @@ class NocMesh(Component):
                     held.append(link)
                     self.log(f"worm{packet.pid} head {hop_src}->{hop_dst}")
                     hop_started = self.engine.now
-                    # Fast lane: the head-advance latency is a pure
+                    # Fusion: the head-advance latency is a pure
                     # wait (links stay held either way).
                     hop = self.cycles(self.params.hop_latency_cycles)
                     if not engine.try_advance(hop):

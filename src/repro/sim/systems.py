@@ -30,7 +30,6 @@ from ..core.parallel import PipelineCase
 from ..core.plan import InterconnectPlan, memory_node
 from ..errors import SimulationError
 from ..units import speedup
-from .backend import make_engine
 from .bus import PlbBus
 from .dma import DmaEngine
 from .engine import Engine, Event
@@ -176,7 +175,7 @@ def simulate_baseline(
     host_other_s: float,
     params: SystemParams = SystemParams(),
     recorder=None,
-    backend: Optional[str] = None,
+    engine: Optional[Engine] = None,
 ) -> SimulatedTimes:
     """The conventional bus-based accelerator (Section III-A).
 
@@ -185,10 +184,10 @@ def simulate_baseline(
     (``host→k`` of ``D_in``, ``k→host`` of ``D_out``) because every byte
     crosses the bus through the host in this system.
 
-    ``backend`` selects the event engine (see :mod:`repro.sim.backend`);
-    both backends produce byte-identical results.
+    ``engine`` (a fresh :class:`~repro.sim.engine.Engine` by default)
+    is a test seam: the conformance harness passes its unfused oracle.
     """
-    engine = make_engine(backend)
+    engine = engine if engine is not None else Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
     _attach_recorder(recorder, bus=bus, dma=dma)
@@ -233,7 +232,7 @@ def simulate_pipelined_baseline(
     host_other_s: float,
     params: SystemParams = SystemParams(),
     recorder=None,
-    backend: Optional[str] = None,
+    engine: Optional[Engine] = None,
 ) -> SimulatedTimes:
     """A smarter bus-only baseline: double-buffered input fetch.
 
@@ -245,7 +244,7 @@ def simulate_pipelined_baseline(
     local-memory port and bus). The ablation bench compares it against
     both the paper's baseline and the proposed system.
     """
-    engine = make_engine(backend)
+    engine = engine if engine is not None else Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
 
@@ -304,7 +303,7 @@ def simulate_proposed(
     params: SystemParams = SystemParams(),
     components_out: Optional[Dict[str, object]] = None,
     recorder=None,
-    backend: Optional[str] = None,
+    engine: Optional[Engine] = None,
 ) -> SimulatedTimes:
     """Execute the designed system as a concurrent process network.
 
@@ -320,7 +319,7 @@ def simulate_proposed(
     plan's graph for byte conservation.
     """
     graph = plan.graph
-    engine = make_engine(backend)
+    engine = engine if engine is not None else Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
 

@@ -132,7 +132,6 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: Optional[Union[str, pathlib.Path]] = None,
     service: Optional["DesignService"] = None,
-    sim_backend: Optional[str] = None,
 ) -> List[SweepPoint]:
     """Evaluate every grid point, deterministic order.
 
@@ -142,25 +141,11 @@ def run_sweep(
     defaults (one in-process worker, no disk cache) behaviour matches
     the historical serial path — including full
     :attr:`SweepPoint.result` objects on every point.
-
-    ``sim_backend`` picks the simulation engine for freshly computed
-    points (see :mod:`repro.sim.backend`); unknown names raise
-    :class:`~repro.errors.ConfigurationError` before any point runs.
-    CSV output is byte-identical across backends — that equivalence is
-    what the conformance suite proves. Configure an injected ``service``
-    with its own ``sim_backend`` instead of passing both.
     """
     from .service import DesignService, job_for_point
 
     if service is None:
-        service = DesignService(
-            jobs=jobs, cache_dir=cache_dir, sim_backend=sim_backend
-        )
-    elif sim_backend is not None:
-        raise ConfigurationError(
-            "pass sim_backend on the injected DesignService, not to "
-            "run_sweep (the service owns execution)"
-        )
+        service = DesignService(jobs=jobs, cache_dir=cache_dir)
     coords = list(grid.points())
     specs = [
         job_for_point(

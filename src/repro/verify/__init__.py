@@ -8,9 +8,9 @@ The generative trust layer over Algorithm 1 and the simulator:
   any :class:`~repro.core.plan.InterconnectPlan` (:func:`check_plan`);
 * :mod:`~repro.verify.oracle` — analytic-vs-simulated differential
   bounds and metamorphic properties;
-* :mod:`~repro.verify.conformance` — byte-exact differential proof
-  that the fast simulator backend (:mod:`repro.sim.fastcore`) is
-  indistinguishable from the reference engine;
+* :mod:`~repro.verify.conformance` — byte-exact proof that the
+  simulator's event fusion is indistinguishable from its unfused
+  oracle and from the recorded golden digests;
 * :mod:`~repro.verify.shrink` — greedy counterexample minimization;
 * :mod:`~repro.verify.harness` — campaign driver through the service
   layer (:func:`run_fuzz`), behind the ``repro fuzz`` CLI.
@@ -19,12 +19,7 @@ See DESIGN.md §9 for the invariants, tolerance derivations, and the
 seed-reproduction recipe.
 """
 
-from .conformance import (
-    backend_conformance_check,
-    conformance_sweep,
-    diff_recordings,
-    diff_simulated_times,
-)
+from .conformance import UnfusedEngine, conformance_check, diff_digests
 from .generate import FuzzSpec, GeneratedCase, case_rng, generate_case
 from .harness import (
     STATIC_ANALYSIS,
@@ -55,15 +50,14 @@ __all__ = [
     "GeneratedCase",
     "STATIC_ANALYSIS",
     "ShrinkResult",
+    "UnfusedEngine",
     "Violation",
     "analyzer_check",
-    "backend_conformance_check",
     "case_rng",
     "case_size",
     "check_host_only_degeneration",
-    "conformance_sweep",
-    "diff_recordings",
-    "diff_simulated_times",
+    "conformance_check",
+    "diff_digests",
     "check_permutation_invariance",
     "check_plan",
     "check_scale_invariance",

@@ -1,40 +1,42 @@
-"""Differential backend conformance: reference vs fast engine.
+"""Engine conformance: event fusion vs the unfused oracle and the goldens.
 
-The fast event kernel (:mod:`repro.sim.fastcore`) is only admissible
-because it is *provably indistinguishable* from the reference engine.
-This module is the proof machinery: it runs the same simulation on both
-backends and diffs everything observable **byte-exactly** — no
-tolerances, no ``isclose``. Field-level float comparisons are by
-``repr`` equality (every bit shown), so a one-ULP drift in any
-timestamp, makespan, counter, recorded sample, or rendered timeline is
-a reported :class:`~repro.verify.invariants.Violation`.
+Event fusion (:meth:`repro.sim.engine.Engine.try_advance`) is only
+admissible because it is *provably indistinguishable* from queuing every
+timed wait. This module is the proof machinery, and both of its checks
+are byte-exact — no tolerances, no ``isclose``:
 
-What is compared:
+* **engine vs oracle** — :class:`UnfusedEngine` is the same engine with
+  fusion switched off; :func:`conformance_check` runs a case on both;
+* **engine vs goldens** — :func:`record_digests` digests every golden
+  run (the four paper apps and the seed-2026 fuzz corpus, on the
+  baseline, pipelined-baseline and proposed systems), and
+  ``tests/goldens/sim_digests.json`` pins those digests as recorded
+  before fusion became the only engine.
 
-* the full :class:`~repro.sim.systems.SimulatedTimes` (``asdict`` —
-  makespans, extras counters, per-kernel spans);
-* every :class:`~repro.obs.profile.recorder.TimeseriesRecorder` sample
-  stream (activities, occupancy edges, deliveries), in order;
-* the :func:`~repro.sim.timeline.timeline_digest` of each run.
+Each run is reduced by :func:`run_digest` to the full-precision ``repr``
+of its :class:`~repro.sim.systems.SimulatedTimes`, a SHA-256 over the
+in-order :class:`~repro.obs.profile.recorder.TimeseriesRecorder` sample
+streams, and its :func:`~repro.sim.timeline.timeline_digest`, so a
+one-ULP drift in any timestamp, counter or recorded sample is a reported
+:class:`~repro.verify.invariants.Violation`.
 
 Engine-implementation observability (``events_processed`` /
 ``fused_events`` on the engine object itself) is deliberately *outside*
-the contract: the two engines execute different numbers of discrete
-events by design — that difference is the optimization, not a bug. It
-never leaks into any compared artifact.
+the contract: fusing executes fewer discrete events by design — that
+difference is the optimization, not a bug.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from ..core.commgraph import CommGraph
 from ..core.designer import DesignConfig, design_interconnect
 from ..core.plan import InterconnectPlan
 from ..obs.profile.recorder import TimeseriesRecorder
-from ..sim.backend import BACKEND_NAMES, ReproSimBackend
+from ..sim.engine import Engine
 from ..sim.systems import (
     SimulatedTimes,
     SystemParams,
@@ -47,170 +49,21 @@ from .generate import FuzzSpec, GeneratedCase, generate_case
 from .invariants import Violation
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ReproSimBackend",
-    "backend_conformance_check",
-    "conformance_sweep",
-    "diff_recordings",
-    "diff_simulated_times",
+    "CORPUS_SEED",
+    "CORPUS_SIZE",
+    "SYSTEMS",
+    "UnfusedEngine",
+    "conformance_check",
+    "diff_digests",
     "golden_runs",
     "record_digests",
     "run_digest",
+    "run_digests",
+    "simulate_system",
 ]
 
-#: The systems a conformance pass exercises per case.
-_SYSTEMS: Tuple[str, ...] = ("baseline", "pipelined", "proposed")
-
-
-def diff_simulated_times(
-    label: str, ref: SimulatedTimes, fast: SimulatedTimes
-) -> List[Violation]:
-    """Field-precise byte-exact diff of two simulation results.
-
-    Returns one violation per differing field, naming the exact values
-    (``repr``, full precision) so a conformance failure is diagnosable
-    from the report alone.
-    """
-    violations: List[Violation] = []
-    ref_d, fast_d = asdict(ref), asdict(fast)
-    for key in sorted(set(ref_d) | set(fast_d)):
-        a, b = ref_d.get(key), fast_d.get(key)
-        # repr-compare: dicts of floats must match bit for bit, and
-        # repr makes 0.1+0.2 vs 0.30000000000000004 visible in the
-        # message instead of rounding away in str().
-        if repr(a) != repr(b):
-            violations.append(
-                Violation(
-                    "backend_results",
-                    f"{label}.{key}",
-                    f"reference {a!r} != fast {b!r}",
-                )
-            )
-    return violations
-
-
-def diff_recordings(
-    label: str, ref: TimeseriesRecorder, fast: TimeseriesRecorder
-) -> List[Violation]:
-    """Byte-exact diff of two recorders' sample streams, in order.
-
-    Sample *order* is part of the contract: the recorder is an
-    append-only log, so identical streams prove the two engines made
-    the same instrumentation calls in the same sequence.
-    """
-    violations: List[Violation] = []
-    streams = (
-        ("activities", ref.activities, fast.activities),
-        ("occupancy", ref.occupancy_samples, fast.occupancy_samples),
-        ("deliveries", ref.deliveries, fast.deliveries),
-    )
-    for name, a, b in streams:
-        if len(a) != len(b):
-            violations.append(
-                Violation(
-                    "backend_profile",
-                    f"{label}.{name}",
-                    f"reference recorded {len(a)} samples, fast {len(b)}",
-                )
-            )
-            continue
-        for i, (sa, sb) in enumerate(zip(a, b)):
-            if repr(sa) != repr(sb):
-                violations.append(
-                    Violation(
-                        "backend_profile",
-                        f"{label}.{name}[{i}]",
-                        f"reference {sa!r} != fast {sb!r}",
-                    )
-                )
-                break  # first divergence per stream is enough to act on
-    return violations
-
-
-def _simulate(
-    system: str,
-    case: GeneratedCase,
-    plan: InterconnectPlan,
-    backend: str,
-    recorder: Optional[TimeseriesRecorder],
-) -> SimulatedTimes:
-    if system == "baseline":
-        return simulate_baseline(
-            case.graph, 0.0, case.params, recorder=recorder, backend=backend
-        )
-    if system == "pipelined":
-        return simulate_pipelined_baseline(
-            case.graph, 0.0, case.params, recorder=recorder, backend=backend
-        )
-    return simulate_proposed(
-        plan, 0.0, case.params, recorder=recorder, backend=backend
-    )
-
-
-def backend_conformance_check(
-    case: GeneratedCase,
-    plan: Optional[InterconnectPlan] = None,
-    profile: bool = True,
-) -> List[Violation]:
-    """Prove one case byte-identical across simulator backends.
-
-    Designs the case (unless a ``plan`` is passed in), then runs the
-    baseline, pipelined-baseline, and proposed systems on both the
-    reference and fast engines and diffs results, recorder streams
-    (when ``profile``), and timeline digests. An empty list is the
-    conformance proof for this case; any entry is a counterexample.
-    """
-    if plan is None:
-        plan = design_interconnect(case.label(), case.graph, case.config())
-    violations: List[Violation] = []
-    for system in _SYSTEMS:
-        label = f"{case.label()}.{system}"
-        rec_ref = TimeseriesRecorder() if profile else None
-        rec_fast = TimeseriesRecorder() if profile else None
-        ref = _simulate(
-            system, case, plan, ReproSimBackend.REFERENCE.value, rec_ref
-        )
-        fast = _simulate(
-            system, case, plan, ReproSimBackend.FAST.value, rec_fast
-        )
-        violations.extend(diff_simulated_times(label, ref, fast))
-        if rec_ref is not None and rec_fast is not None:
-            violations.extend(diff_recordings(label, rec_ref, rec_fast))
-        ref_digest = timeline_digest(ref)
-        fast_digest = timeline_digest(fast)
-        if ref_digest != fast_digest:
-            violations.append(
-                Violation(
-                    "backend_timeline",
-                    label,
-                    f"timeline digests differ: reference {ref_digest[:16]} "
-                    f"!= fast {fast_digest[:16]}",
-                )
-            )
-    return violations
-
-
-def conformance_sweep(
-    cases: List[GeneratedCase],
-    profile: bool = True,
-    on_case: Optional[Callable[[GeneratedCase, List[Violation]], Any]] = None,
-) -> List[Violation]:
-    """Run :func:`backend_conformance_check` over a case corpus.
-
-    ``on_case`` (optional) observes each case's violations as they are
-    produced — the test suite uses it to attach case labels to failures
-    without re-running anything.
-    """
-    all_violations: List[Violation] = []
-    for case in cases:
-        found = backend_conformance_check(case, profile=profile)
-        if on_case is not None:
-            on_case(case, found)
-        all_violations.extend(found)
-    return all_violations
-
-
-# -- golden digests ----------------------------------------------------------
+#: The systems every conformance run exercises.
+SYSTEMS: Tuple[str, ...] = ("baseline", "pipelined", "proposed")
 
 #: The pinned fuzz corpus: same seed, same indices, forever. A digest
 #: mismatch reproduces from ``generate_case(FuzzSpec(), CORPUS_SEED, i)``.
@@ -219,6 +72,38 @@ CORPUS_SIZE = 50
 
 #: One golden run: (label, graph, plan, params).
 GoldenRun = Tuple[str, CommGraph, InterconnectPlan, SystemParams]
+
+#: Digests keyed ``<label>.<system>``.
+Digests = Dict[str, Dict[str, str]]
+
+
+class UnfusedEngine(Engine):
+    """The differential oracle: every timed wait goes through the queue."""
+
+    def can_advance(self, delay: float) -> bool:
+        return False
+
+
+def simulate_system(
+    system: str,
+    graph: CommGraph,
+    plan: InterconnectPlan,
+    params: SystemParams,
+    recorder: Optional[TimeseriesRecorder] = None,
+    engine: Optional[Engine] = None,
+) -> SimulatedTimes:
+    """Run one of :data:`SYSTEMS` (``host_other_s`` pinned to 0)."""
+    if system == "baseline":
+        return simulate_baseline(
+            graph, 0.0, params, recorder=recorder, engine=engine
+        )
+    if system == "pipelined":
+        return simulate_pipelined_baseline(
+            graph, 0.0, params, recorder=recorder, engine=engine
+        )
+    return simulate_proposed(
+        plan, 0.0, params, recorder=recorder, engine=engine
+    )
 
 
 def run_digest(
@@ -243,8 +128,54 @@ def run_digest(
     }
 
 
+def run_digests(
+    runs: Iterable[GoldenRun], engine_type: Type[Engine] = Engine
+) -> Digests:
+    """Digest every run on every system, each on a fresh ``engine_type``."""
+    out: Digests = {}
+    for label, graph, plan, params in runs:
+        for system in SYSTEMS:
+            rec = TimeseriesRecorder()
+            times = simulate_system(
+                system, graph, plan, params, rec, engine_type()
+            )
+            out[f"{label}.{system}"] = run_digest(times, rec)
+    return out
+
+
+def diff_digests(expected: Digests, actual: Digests) -> List[Violation]:
+    """One violation per missing, extra or differing digest field."""
+    violations: List[Violation] = []
+    for key in sorted(set(expected) | set(actual)):
+        want, got = expected.get(key), actual.get(key)
+        if want is None or got is None:
+            side = "expected" if want is None else "actual"
+            violations.append(
+                Violation("sim_digest", key, f"run missing from {side}")
+            )
+            continue
+        for field in sorted(set(want) | set(got)):
+            if want.get(field) != got.get(field):
+                violations.append(
+                    Violation(
+                        "sim_digest",
+                        f"{key}.{field}",
+                        f"expected {want.get(field)} != {got.get(field)}",
+                    )
+                )
+    return violations
+
+
+def _case_run(
+    case: GeneratedCase, plan: Optional[InterconnectPlan] = None
+) -> GoldenRun:
+    if plan is None:
+        plan = design_interconnect(case.label(), case.graph, case.config())
+    return case.label(), case.graph, plan, case.params
+
+
 def golden_runs() -> Iterator[GoldenRun]:
-    """The paper apps, then the fuzz corpus, each with its plan."""
+    """The four paper apps, then the pinned fuzz corpus, each designed."""
     from ..apps import fit_application, get_application
     from ..apps.registry import APP_NAMES
 
@@ -259,28 +190,23 @@ def golden_runs() -> Iterator[GoldenRun]:
         plan = design_interconnect(name, fitted.graph, config)
         yield name, fitted.graph, plan, params
     for i in range(CORPUS_SIZE):
-        case = generate_case(FuzzSpec(), CORPUS_SEED, i)
-        plan = design_interconnect(case.label(), case.graph, case.config())
-        yield case.label(), case.graph, plan, case.params
+        yield _case_run(generate_case(FuzzSpec(), CORPUS_SEED, i))
 
 
-def record_digests() -> Dict[str, Dict[str, str]]:
-    """Digest every golden run on every system, keyed ``label.system``."""
-    out: Dict[str, Dict[str, str]] = {}
-    for label, graph, plan, params in golden_runs():
-        case = _Case(graph, params)
-        for system in _SYSTEMS:
-            rec = TimeseriesRecorder()
-            times = _simulate(
-                system, case, plan, ReproSimBackend.REFERENCE.value, rec
-            )
-            out[f"{label}.{system}"] = run_digest(times, rec)
-    return out
+def record_digests() -> Digests:
+    """Digest every golden run on the engine (the goldens' content)."""
+    return run_digests(golden_runs())
 
 
-class _Case:
-    """The two fields :func:`_simulate` reads from a case."""
+def conformance_check(
+    case: GeneratedCase, plan: Optional[InterconnectPlan] = None
+) -> List[Violation]:
+    """Prove one case byte-identical with and without event fusion.
 
-    def __init__(self, graph: CommGraph, params: SystemParams) -> None:
-        self.graph = graph
-        self.params = params
+    Designs the case (unless a ``plan`` is passed in), runs all three
+    systems on the engine and on :class:`UnfusedEngine`, and diffs the
+    digests. An empty list is the proof for this case; any entry is a
+    counterexample.
+    """
+    runs = [_case_run(case, plan)]
+    return diff_digests(run_digests(runs, UnfusedEngine), run_digests(runs))

@@ -1,20 +1,23 @@
-"""Differential conformance: the fast event kernel vs the reference engine.
+"""Engine conformance: event fusion vs the unfused oracle and the goldens.
 
-The fast backend (:mod:`repro.sim.fastcore`) is only admissible because
-it is byte-for-byte indistinguishable from the reference engine. These
-tests are that proof, at two scales:
+Event fusion is only admissible because it is byte-for-byte
+indistinguishable from queuing every timed wait. These tests are that
+proof, at two scales:
 
 * the four paper applications, across all three simulated systems, with
   full profiling recorders attached;
 * a 50-case fixed-seed fuzz corpus (:mod:`repro.verify.generate`) far
   outside the paper's operating regime — torus NoCs, degenerate graphs,
-  randomized hardware parameters.
+  randomized hardware parameters;
+
+each checked against :class:`~repro.verify.conformance.UnfusedEngine`
+and against ``tests/goldens/sim_digests.json``.
 
 Plus targeted regressions for the one interaction subtle enough to have
 produced a real divergence during development: batched ``Event.succeed``
 dispatch hiding sibling callbacks from the event queue, which let a
 fused operation advance ``now`` mid-batch and serialize flows the
-reference engine runs concurrently.
+unfused engine runs concurrently.
 """
 
 from __future__ import annotations
@@ -27,44 +30,31 @@ import pytest
 
 from repro.core.designer import DesignConfig, design_interconnect
 from repro.obs.profile.recorder import TimeseriesRecorder
-from repro.sim.backend import make_engine
-from repro.sim.fastcore.engine import FastEngine
-from repro.sim.systems import (
-    simulate_baseline,
-    simulate_pipelined_baseline,
-    simulate_proposed,
-)
-from repro.sim.timeline import timeline_digest
+from repro.sim.engine import Engine
+from repro.sim.systems import simulate_baseline, simulate_proposed
 from repro.verify import (
     FuzzSpec,
-    backend_conformance_check,
-    conformance_sweep,
-    diff_recordings,
-    diff_simulated_times,
+    UnfusedEngine,
+    conformance_check,
+    diff_digests,
     generate_case,
 )
-from repro.verify.conformance import record_digests
+from repro.verify.conformance import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    SYSTEMS,
+    record_digests,
+    run_digest,
+    simulate_system,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "sim_digests.json"
 
-#: The fuzz corpus is pinned: same seed, same indices, forever. A
-#: conformance failure reproduces from ``generate_case(FuzzSpec(),
-#: CORPUS_SEED, index)`` alone.
-CORPUS_SEED = 2026
-CORPUS_SIZE = 50
 
-SYSTEMS = ("baseline", "pipelined", "proposed")
-
-
-def _simulate(system, graph, plan, params, backend, recorder):
-    if system == "baseline":
-        return simulate_baseline(graph, 0.0, params, recorder=recorder,
-                                 backend=backend)
-    if system == "pipelined":
-        return simulate_pipelined_baseline(graph, 0.0, params,
-                                           recorder=recorder, backend=backend)
-    return simulate_proposed(plan, 0.0, params, recorder=recorder,
-                             backend=backend)
+def _digest(system, graph, plan, params, engine):
+    rec = TimeseriesRecorder()
+    times = simulate_system(system, graph, plan, params, rec, engine)
+    return run_digest(times, rec)
 
 
 class TestPaperApps:
@@ -78,23 +68,20 @@ class TestPaperApps:
                 stream_overhead_s=fitted.stream_overhead_s,
             )
             plan = design_interconnect(name, fitted.graph, config)
-            rec_ref, rec_fast = TimeseriesRecorder(), TimeseriesRecorder()
-            ref = _simulate(system, fitted.graph, plan, system_params,
-                            "reference", rec_ref)
-            fast = _simulate(system, fitted.graph, plan, system_params,
-                             "fast", rec_fast)
+            args = (system, fitted.graph, plan, system_params)
             label = f"{name}.{system}"
-            violations = diff_simulated_times(label, ref, fast)
-            violations += diff_recordings(label, rec_ref, rec_fast)
+            violations = diff_digests(
+                {label: _digest(*args, UnfusedEngine())},
+                {label: _digest(*args, Engine())},
+            )
             assert violations == [], "\n".join(str(v) for v in violations)
-            assert timeline_digest(ref) == timeline_digest(fast)
 
     def test_fast_backend_is_deterministic(self, fitted_apps, system_params):
-        # Two fast runs of the same input are byte-identical: the
-        # calendar queue and fusion introduce no run-to-run state.
+        # Two fused runs of the same input are byte-identical: fusion
+        # introduces no run-to-run state.
         fitted = fitted_apps["fluid"]
-        a = simulate_baseline(fitted.graph, 0.0, system_params, backend="fast")
-        b = simulate_baseline(fitted.graph, 0.0, system_params, backend="fast")
+        a = simulate_baseline(fitted.graph, 0.0, system_params)
+        b = simulate_baseline(fitted.graph, 0.0, system_params)
         assert repr(asdict(a)) == repr(asdict(b))
 
 
@@ -102,27 +89,29 @@ class TestFuzzCorpus:
     """Fixed-seed corpus: 50 generated cases, zero tolerated violations."""
 
     def test_corpus_conformance(self):
-        cases = [
-            generate_case(FuzzSpec(), CORPUS_SEED, i)
-            for i in range(CORPUS_SIZE)
-        ]
         failures = []
-
-        def on_case(case, found):
+        for i in range(CORPUS_SIZE):
+            case = generate_case(FuzzSpec(), CORPUS_SEED, i)
+            found = conformance_check(case)
             if found:
                 failures.append((case.label(), found[0]))
-
-        violations = conformance_sweep(cases, on_case=on_case)
-        assert violations == [], (
+        assert failures == [], (
             f"{len(failures)} non-conforming case(s); first: "
             f"{failures[0][0]}: {failures[0][1]}"
         )
 
     def test_single_case_check_reports_counterexamples(self):
         # The checker itself must produce actionable reports: a case
-        # runs clean, and its violation list is the proof artifact.
+        # runs clean, and a drifted digest names the run and field.
         case = generate_case(FuzzSpec(), CORPUS_SEED, 0)
-        assert backend_conformance_check(case) == []
+        assert conformance_check(case) == []
+        expected = {"x.baseline": {"times": "a", "timeline": "t"}}
+        actual = {"x.baseline": {"times": "b", "timeline": "t"}}
+        (violation,) = diff_digests(expected, actual)
+        assert violation.subject == "x.baseline.times"
+        assert [v.subject for v in diff_digests(expected, {})] == [
+            "x.baseline"
+        ]
 
 
 class TestGoldens:
@@ -130,23 +119,23 @@ class TestGoldens:
 
     def test_engine_matches_goldens(self):
         goldens = json.loads(GOLDEN_PATH.read_text())
-        actual = record_digests()
-        assert sorted(actual) == sorted(goldens)
-        mismatched = [key for key in goldens if actual[key] != goldens[key]]
-        assert mismatched == [], f"{len(mismatched)} drifted: {mismatched[:5]}"
+        violations = diff_digests(goldens, record_digests())
+        assert violations == [], (
+            f"{len(violations)} drifted; first: {violations[0]}"
+        )
 
 
 class TestBatchedDispatchFusion:
-    """Regressions for Event.succeed's batched dispatch on FastEngine.
+    """Regressions for Event.succeed's batched dispatch under fusion.
 
     Multiple callbacks on one event are dispatched by a single queued
     closure. Mid-batch, pending sibling callbacks are due *now* but
-    invisible to the queue — fusion must refuse exactly as the
-    reference engine's ``peek == now`` would.
+    invisible to the queue — fusion must refuse exactly as the unfused
+    engine's ``peek == now`` would.
     """
 
     def test_fusion_vetoed_while_siblings_pending(self):
-        eng = FastEngine()
+        eng = Engine()
         ev = eng.event()
         observed = []
 
@@ -154,8 +143,7 @@ class TestBatchedDispatchFusion:
             def cb(_event):
                 # can_advance must be False for every callback except
                 # the last: siblings still inside the dispatch closure
-                # correspond to same-time queued thunks in the
-                # reference engine.
+                # correspond to same-time queued thunks.
                 observed.append((tag, eng.can_advance(1.0)))
             return cb
 
@@ -166,7 +154,7 @@ class TestBatchedDispatchFusion:
         assert observed == [("a", False), ("b", False), ("c", True)]
 
     def test_callback_order_preserved(self):
-        eng = FastEngine()
+        eng = Engine()
         ev = eng.event()
         order = []
         for tag in range(5):
@@ -176,24 +164,20 @@ class TestBatchedDispatchFusion:
         assert order == [0, 1, 2, 3, 4]
 
     def test_wide_fanin_schedules_one_closure(self):
-        # The historical Event.succeed queued one thunk per callback,
-        # bloating the queue under wide AllOf fan-in; now the whole
-        # batch is one queued dispatch closure — on both engines.
-        from repro.sim.engine import Engine
-
-        for eng in (Engine(), FastEngine()):
+        # One queued dispatch closure per triggered event, not one thunk
+        # per callback: a wide AllOf fan-in does not bloat the queue.
+        for eng in (Engine(), UnfusedEngine()):
             ev = eng.event()
             fired = []
             for i in range(50):
                 ev.callbacks.append(lambda _e, i=i: fired.append(i))
             ev.succeed()
-            queued = len(eng._queue) if type(eng) is Engine else len(eng._cq)
-            assert queued == 1
+            assert len(eng._queue) == 1
             eng.run()
             assert fired == list(range(50))
 
     def test_batch_guard_clears_after_dispatch(self):
-        eng = FastEngine()
+        eng = Engine()
         ev = eng.event()
         ev.callbacks.append(lambda _e: None)
         ev.succeed()
@@ -204,11 +188,19 @@ class TestBatchedDispatchFusion:
         assert eng.now == 1.0
 
     def test_reference_engine_never_fuses(self):
-        eng = make_engine("reference")
-        assert eng.fastlane is False
+        eng = UnfusedEngine()
         assert eng.can_advance(0.0) is False
         assert eng.try_advance(1.0) is False
         assert eng.now == 0.0
+
+    def test_fusion_respects_the_run_horizon(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(0.0, lambda: seen.append(eng.can_advance(2.0)))
+        eng.schedule(0.0, lambda: seen.append(eng.can_advance(0.5)))
+        eng.run(until=1.0)
+        assert seen == [False, True]
+        assert eng.can_advance(2.0)  # the horizon ends with run()
 
 
 class TestEquivalenceContractScope:
@@ -217,14 +209,24 @@ class TestEquivalenceContractScope:
     def test_fused_operations_skip_the_queue(self):
         # The optimization is visible only on the engine object: a
         # fused operation bumps fused_events, never events_processed.
-        eng = FastEngine()
+        eng = Engine()
         assert eng.try_advance(1.0)
         assert eng.fused_events == 1
         assert eng.events_processed == 0
         assert eng.now == 1.0
 
-    def test_make_engine_returns_the_right_class(self):
-        assert isinstance(make_engine("fast"), FastEngine)
-        ref = make_engine("reference")
-        assert not isinstance(ref, FastEngine)
-        assert ref.fastlane is False
+    def test_engine_seam_selects_the_engine(self, fitted_apps, system_params):
+        fitted = fitted_apps["canny"]
+        plan = design_interconnect(
+            "canny", fitted.graph,
+            DesignConfig(theta_s_per_byte=system_params.theta_s_per_byte(),
+                         stream_overhead_s=fitted.stream_overhead_s),
+        )
+        out = {}
+        simulate_proposed(plan, 0.0, system_params, components_out=out)
+        assert type(out["engine"]) is Engine
+        assert out["engine"].fused_events > 0
+        oracle = UnfusedEngine()
+        simulate_proposed(plan, 0.0, system_params, components_out=out,
+                          engine=oracle)
+        assert out["engine"] is oracle and oracle.fused_events == 0

@@ -217,19 +217,19 @@ class TestStackSampler:
     def test_phase_attribution_by_innermost_frame(self):
         sampler = StackSampler(interval_s=0.001)
         key = (
-            "run (fastcore/engine.py)",
-            "pop (fastcore/calendar.py)",
+            "run (sim/engine.py)",
+            "try_advance (sim/engine.py)",
         )
         with sampler._lock:
             sampler._counts[(1, key)] = 3
             sampler._counts[(1, ("main (repro/cli.py)",))] = 1
             sampler._samples = 4
         totals = sampler.phase_totals(SIM_PHASES)
-        # innermost frame (calendar.py) wins over the engine file needle
-        assert totals["calendar_queue"] == 3
+        # innermost frame (the fusion call) wins over the engine needle
+        assert totals["fusion"] == 3
         assert totals["other"] == 1
         fractions = sampler.phase_fractions(SIM_PHASES)
-        assert fractions["calendar_queue"] == pytest.approx(0.75)
+        assert fractions["fusion"] == pytest.approx(0.75)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_phase_fractions_empty_is_all_zero(self):
@@ -587,3 +587,29 @@ class TestServerFlightEndToEnd:
         doc = load_flight_report(sorted(new)[0])
         assert doc["reason"] == "watchdog:unit_wedge"
         assert "unit_wedge" in doc["watchdog"]["stalled"]
+
+    def test_stall_dumps_before_readiness_degrades(
+        self, flight_server, monkeypatch
+    ):
+        server = flight_server[0].server
+        saved = server._stalled
+        seen = []
+
+        def spy(reason):
+            seen.append(server._stalled)
+            if reason.endswith("full_disk"):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(server, "flight_dump", spy)
+        try:
+            server._stalled = None
+            server._on_stall("unit_order", "forced")
+            # /readyz was still ready while the dump was being written.
+            assert seen == [None]
+            assert server._stalled == "unit_order: forced"
+            # A failing dump must still degrade readiness.
+            server._stalled = None
+            server._on_stall("full_disk", "forced")
+            assert server._stalled == "full_disk: forced"
+        finally:
+            server._stalled = saved

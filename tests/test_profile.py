@@ -508,8 +508,7 @@ class TestCli:
         row = data["apps"]["jpeg"]
         assert set(row) == {
             "design_s", "sim_baseline_s", "sim_proposed_s",
-            "sim_fastcore_s", "sim_fastcore_proposed_s",
-            "fastcore_speedup", "sim_proposed_profiled_s",
+            "sim_unfused_s", "sim_proposed_profiled_s",
             "profile_build_s", "profiler_overhead", "lint_s",
             "trace_fit_s", "static_s", "static_speedup",
         }

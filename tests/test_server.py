@@ -542,44 +542,111 @@ class TestRequestTelemetry:
         assert finish["fields"]["status"] == 200
 
 
+def _stub_sse_server(send_events, finish):
+    """One-shot raw-socket HTTP server for client transport tests.
+
+    Reads the whole request (head plus ``Content-Length`` body, so the
+    close below is never an accidental reset), answers with an SSE head
+    and ``send_events``, then calls ``finish(conn)`` to end the stream.
+    Returns ``(url, thread, listener)``.
+    """
+    import socket
+    import threading
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    head = (
+        b"HTTP/1.1 200 OK\r\n"
+        b"Content-Type: text/event-stream\r\n"
+        b"Connection: close\r\n"
+        b"\r\n"
+    )
+
+    def serve_once():
+        conn, _ = listener.accept()
+        request = b""
+        while b"\r\n\r\n" not in request:
+            request += conn.recv(65536)
+        header, _, body = request.partition(b"\r\n\r\n")
+        length = 0
+        for line in header.split(b"\r\n"):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(body) < length:
+            body += conn.recv(65536)
+        conn.sendall(head + send_events)
+        finish(conn)
+
+    thread = threading.Thread(target=serve_once, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", thread, listener
+
+
+_ONE_POINT = b'event: point\r\ndata: {"app": "klt"}\r\n\r\n'
+
+
 class TestTruncatedStream:
     def test_stream_ending_without_done_raises(self):
         """A dropped connection mid-stream must not look like success."""
-        import socket
-        import threading
-
-        body = (
-            b"event: point\r\n"
-            b'data: {"app": "klt"}\r\n'
-            b"\r\n"
-        )  # one point, then the server "dies" — no done event
-        head = (
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
+        # one point, then the server "dies" cleanly — no done event
+        url, thread, listener = _stub_sse_server(
+            _ONE_POINT, lambda conn: conn.close()
         )
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-
-        def serve_once():
-            conn, _ = listener.accept()
-            conn.recv(65536)  # drain the request
-            conn.sendall(head + body)
-            conn.close()
-
-        thread = threading.Thread(target=serve_once, daemon=True)
-        thread.start()
         try:
-            client = DesignClient(f"http://127.0.0.1:{port}")
+            client = DesignClient(url)
             with pytest.raises(ServerError) as err:
                 list(client.sweep_stream(["klt"]))
             assert "truncated" in str(err.value)
         finally:
             thread.join(timeout=5)
             listener.close()
+
+    def test_peer_reset_mid_stream_is_a_typed_error(self):
+        """A TCP reset after the first event surfaces as ServerError."""
+        import socket
+        import struct
+        import threading
+        from http.client import HTTPException
+
+        reset = threading.Event()
+
+        def reset_after_first_point(conn):
+            reset.wait(timeout=5)
+            # SO_LINGER with a zero timeout turns close() into an RST.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            conn.close()
+
+        url, thread, listener = _stub_sse_server(
+            _ONE_POINT, reset_after_first_point
+        )
+        try:
+            stream = DesignClient(url).sweep_stream(["klt"])
+            assert next(stream) == ("point", {"app": "klt"})
+            reset.set()
+            with pytest.raises(ServerError) as err:
+                next(stream)
+            assert err.value.status == 0
+            assert "truncated" in str(err.value)
+            assert isinstance(err.value.__cause__, (OSError, HTTPException))
+        finally:
+            reset.set()
+            thread.join(timeout=5)
+            listener.close()
+
+    def test_refused_connection_is_a_typed_error(self):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = DesignClient(f"http://127.0.0.1:{port}", timeout_s=5)
+        with pytest.raises(ServerError) as err:
+            client.design("klt")
+        assert err.value.status == 0
+        assert not client.readyz()
 
     def test_complete_stream_does_not_raise(self, server):
         client = DesignClient(server.url, tenant="pytest")

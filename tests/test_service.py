@@ -114,6 +114,24 @@ class TestResultCacheDisk:
         assert fresh.stats.misses == 1
         assert not (tmp_path / "fp.json").exists()
 
+    def test_interrupted_write_keeps_the_previous_entry(
+        self, tmp_path, monkeypatch
+    ):
+        ResultCache(cache_dir=tmp_path).put("fp", {"v": 1})
+
+        def crash(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.io.os.fsync", crash)
+        with pytest.raises(OSError):
+            ResultCache(cache_dir=tmp_path).put("fp", {"v": 2})
+        # The old entry survives whole, and no partial file is visible.
+        assert [p.name for p in tmp_path.iterdir()] == ["fp.json"]
+        monkeypatch.undo()
+        fresh = ResultCache(cache_dir=tmp_path)
+        assert fresh.get("fp") == {"v": 1}
+        assert fresh.stats.invalidations == 0
+
     def test_corrupt_entry_invalidated(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
         (tmp_path / "fp.json").write_text("{not json")

@@ -17,7 +17,7 @@ lint_repro = importlib.util.module_from_spec(spec)
 sys.modules["lint_repro"] = lint_repro
 spec.loader.exec_module(lint_repro)
 
-FAKE = pathlib.Path("/root/repo/src/repro/sim/fake.py")
+FAKE = lint_repro.SRC_ROOT / "sim" / "fake.py"
 
 
 def _findings(checker, source, path=FAKE):
@@ -122,7 +122,18 @@ def test_r5_allows_non_print_calls(source):
 
 
 # -- R6: static purity -----------------------------------------------------
-STATIC_FAKE = pathlib.Path("/root/repo/src/repro/static/fake.py")
+def _tree_file(root, relpath, source=""):
+    """Write ``source`` to ``root/relpath`` (parents created)."""
+    path = root / relpath
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return path
+
+
+@pytest.fixture
+def static_fake(tmp_path):
+    """A module of the static package in a throwaway ``src/`` tree."""
+    return _tree_file(tmp_path, "src/repro/static/fake.py")
 
 
 @pytest.mark.parametrize(
@@ -141,8 +152,8 @@ STATIC_FAKE = pathlib.Path("/root/repo/src/repro/static/fake.py")
         "from ..profiling import trace\n",
     ],
 )
-def test_r6_flags_simulator_and_tracer_imports(source):
-    found = _findings(lint_repro.check_static_purity, source, STATIC_FAKE)
+def test_r6_flags_simulator_and_tracer_imports(source, static_fake):
+    found = _findings(lint_repro.check_static_purity, source, static_fake)
     assert len(found) == 1
     assert found[0].rule == "R6"
     assert "without executing" in found[0].message
@@ -160,12 +171,12 @@ def test_r6_flags_simulator_and_tracer_imports(source):
         "import repro.simulator_docs\n",   # prefix, not the package
     ],
 )
-def test_r6_allows_pure_imports(source):
-    assert _findings(lint_repro.check_static_purity, source, STATIC_FAKE) == []
+def test_r6_allows_pure_imports(source, static_fake):
+    assert _findings(lint_repro.check_static_purity, source, static_fake) == []
 
 
-def test_r6_resolves_relative_imports_in_init():
-    init = pathlib.Path("/root/repo/src/repro/static/__init__.py")
+def test_r6_resolves_relative_imports_in_init(tmp_path):
+    init = _tree_file(tmp_path, "src/repro/static/__init__.py")
     found = _findings(
         lint_repro.check_static_purity, "from ..sim import systems\n", init
     )
@@ -173,6 +184,32 @@ def test_r6_resolves_relative_imports_in_init():
     assert _findings(
         lint_repro.check_static_purity, "from .ir import Extent\n", init
     ) == []
+
+
+def test_r6_unresolvable_relative_import_is_a_finding(tmp_path):
+    # Outside any src/ root, or with more dots than packages, a relative
+    # import cannot be resolved, so it cannot be proven pure: flag it.
+    loose = _tree_file(tmp_path, "static/fake.py")
+    too_deep = _tree_file(tmp_path, "src/repro/static/deep.py")
+    for path, source in (
+        (loose, "from ..sim import systems\n"),
+        (loose, "from .ir import Extent\n"),
+        (too_deep, "from ...sim import systems\n"),
+    ):
+        found = _findings(lint_repro.check_static_purity, source, path)
+        assert [f.rule for f in found] == ["R6"], (path, source)
+        assert "unresolvable" in found[0].message
+
+
+def test_r6_run_lint_flags_a_tmp_tree(tmp_path):
+    src_root = tmp_path / "src" / "repro"
+    _tree_file(src_root, "static/bad.py", "from ..sim import systems\n")
+    _tree_file(src_root, "sim/systems.py", "X = 1\n")
+    digest = tmp_path / "digest.json"
+    files = lint_repro._python_files(src_root)
+    lint_repro.write_digest(lint_repro.collect_schemas(files), digest)
+    found = lint_repro.run_lint(src_root, digest)
+    assert [(f.rule, f.path.name) for f in found] == [("R6", "bad.py")]
 
 
 def test_r6_scope_is_static_only():

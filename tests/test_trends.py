@@ -180,7 +180,7 @@ class TestRendering:
 
     def _ratio_report(self, speedup: float) -> dict:
         doc = _report(1.0)
-        doc["apps"]["jpeg"]["fastcore_speedup"] = speedup
+        doc["apps"]["jpeg"]["static_speedup"] = speedup
         return doc
 
     def test_ratio_metrics_display_as_multipliers_not_info(self):
@@ -190,7 +190,7 @@ class TestRendering:
         deltas = compare_bench(report, [history_entry(report)])
         table = render_trend_table(deltas, DEFAULT_THRESHOLD)
         row = next(l for l in table.splitlines()
-                   if "fastcore_speedup" in l)
+                   if "static_speedup" in l)
         assert "8.00x" in row
         assert row.rstrip().endswith("ratio")
         assert regressions(deltas) == []
@@ -200,7 +200,7 @@ class TestRendering:
         deltas = compare_bench(self._ratio_report(2.0), history)
         table = render_trend_table(deltas, DEFAULT_THRESHOLD)
         row = next(l for l in table.splitlines()
-                   if "fastcore_speedup" in l)
+                   if "static_speedup" in l)
         assert "ratio (dropped)" in row
         assert regressions(deltas) == []
 
@@ -226,8 +226,7 @@ class TestBenchCompareCli:
     def _patch_bench(self, monkeypatch, scale):
         import repro.bench as bench_mod
 
-        def fake_run_bench(apps, repeat, buckets, out=None,
-                           sim_backend=None, **kwargs):
+        def fake_run_bench(apps, repeat, buckets, out=None, **kwargs):
             return _report(scale)
 
         monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)

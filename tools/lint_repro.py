@@ -48,7 +48,7 @@ import hashlib
 import json
 import pathlib
 import sys
-from typing import Any, Dict, Iterator, List, NamedTuple, Sequence
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -103,19 +103,35 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
+def _package_of(path: pathlib.Path) -> Optional[List[str]]:
+    """Package parts of a file below its nearest ``src/`` root.
+
+    ``src/repro/static/ir.py`` → ``["repro", "static"]``; ``None`` for a
+    file outside any ``src/`` tree.
+    """
+    parts = path.parts
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "src":
+            return list(parts[i + 1:-1])
+    return None
+
+
+def _subpackage(path: pathlib.Path) -> str:
+    """The ``repro`` subpackage a file belongs to (``""`` if none)."""
+    package = _package_of(path) or []
+    return package[1] if len(package) > 1 and package[0] == "repro" else ""
+
+
 def _in_deterministic_scope(path: pathlib.Path) -> bool:
-    rel = path.relative_to(SRC_ROOT)
-    return bool(rel.parts) and rel.parts[0] in DETERMINISTIC_SCOPES
+    return _subpackage(path) in DETERMINISTIC_SCOPES
 
 
 def _in_silent_scope(path: pathlib.Path) -> bool:
-    rel = path.relative_to(SRC_ROOT)
-    return bool(rel.parts) and rel.parts[0] in SILENT_SCOPES
+    return _subpackage(path) in SILENT_SCOPES
 
 
 def _in_pure_scope(path: pathlib.Path) -> bool:
-    rel = path.relative_to(SRC_ROOT)
-    return bool(rel.parts) and rel.parts[0] in PURE_SCOPES
+    return _subpackage(path) in PURE_SCOPES
 
 
 # -- R1 / R2: determinism of sim + core ----------------------------------
@@ -210,22 +226,23 @@ def _impure(dotted: str) -> bool:
     )
 
 
-def _resolve_import_from(path: pathlib.Path, node: ast.ImportFrom) -> str:
+def _resolve_import_from(
+    path: pathlib.Path, node: ast.ImportFrom
+) -> Optional[str]:
     """Absolute dotted module a ``from ... import`` statement targets.
 
     Relative imports (``from ..sim import core``) are resolved against
-    the file's package path under ``src/``, so a purity violation cannot
-    hide behind dots.
+    the file's own package under its ``src/`` root, so a purity
+    violation cannot hide behind dots. ``None`` when a relative import
+    cannot be resolved (no ``src/`` root, or more dots than packages).
     """
     if node.level == 0:
         return node.module or ""
-    try:
-        rel = path.relative_to(SRC_ROOT.parent)
-    except ValueError:
-        return node.module or ""
     # The package a module's level-1 imports resolve against is its
     # parent directory — for both plain modules and __init__.py.
-    package = list(rel.parts[:-1])
+    package = _package_of(path)
+    if package is None or node.level - 1 >= len(package):
+        return None
     base = package[: len(package) - (node.level - 1)]
     if node.module:
         base = base + node.module.split(".")
@@ -250,6 +267,13 @@ def check_static_purity(
                     )
         elif isinstance(node, ast.ImportFrom):
             base = _resolve_import_from(path, node)
+            if base is None:
+                yield Finding(
+                    "R6", path, node.lineno,
+                    f"unresolvable relative import (level {node.level}) "
+                    f"{message}, and this one cannot be proven pure",
+                )
+                continue
             if _impure(base):
                 yield Finding(
                     "R6", path, node.lineno,
